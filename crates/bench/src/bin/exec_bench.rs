@@ -63,6 +63,7 @@ fn plan() -> LogicalPlan {
             input: Box::new(LogicalPlan::Scan {
                 table: "t".into(),
                 schema: vec!["t.id".into(), "t.g".into(), "t.v".into()],
+                access: polardbx_sql::KeyAccess::Full,
             }),
             predicate: Expr::binary(BinOp::Ge, Expr::ColumnIdx(2), Expr::int(100)),
         }),

@@ -7,9 +7,10 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use polardbx_columnar::ColumnIndex;
+use polardbx_common::metrics::Counter;
 use polardbx_common::{
     ColumnDef, DcId, Error, IdGenerator, IndexDef, IndexKind, Key, NodeId, PartitionSpec,
-    Result, Row, TableSchema, TenantId, Value,
+    Result, Row, TableId, TableSchema, TenantId, Value,
 };
 use polardbx_executor::memory::Reservation;
 use polardbx_executor::{
@@ -24,8 +25,9 @@ use polardbx_mt::{RehomeConfig, RehomeExecutor};
 use polardbx_placement::{plan as placement_plan, CoAccessSketch, PlannerConfig};
 use polardbx_sql::ast::{self, IndexPlacement, Statement};
 use polardbx_sql::expr::Expr;
+use polardbx_sql::KeyAccess;
 use polardbx_storage::RwNode;
-use polardbx_txn::{Coordinator, DnService, TxnMetrics, TxnMsg, WireWriteOp};
+use polardbx_txn::{Coordinator, DistTxn, DnService, TxnMetrics, TxnMsg, WireWriteOp};
 
 use crate::gms::{shard_table_id, Gms};
 use crate::provider::ClusterProvider;
@@ -129,6 +131,9 @@ struct Inner {
     /// Commit-time co-access sketch feeding the adaptive placer.
     sketch: Arc<CoAccessSketch>,
     placer_stop: Arc<AtomicBool>,
+    /// AP reads served by a DN's RW engine because its RO replica had not
+    /// caught up with the session token in time.
+    ro_fallbacks: Counter,
 }
 
 /// A compute node: coordinator + clock.
@@ -210,6 +215,7 @@ impl PolarDbx {
             txn_metrics,
             sketch,
             placer_stop: Arc::new(AtomicBool::new(false)),
+            ro_fallbacks: Counter::new(),
         });
         // Background shipper: RW → RO redo + column-index capture.
         {
@@ -627,6 +633,12 @@ impl PolarDbx {
         p
     }
 
+    /// AP reads that fell back to a DN's RW engine because its RO replica
+    /// had not caught up within the session-consistency wait.
+    pub fn ro_fallbacks(&self) -> u64 {
+        self.inner.ro_fallbacks.get()
+    }
+
     /// Total committed row count across shards of `table` (admin helper).
     pub fn count_rows(&self, table: &str) -> Result<usize> {
         let schema = self.inner.gms.table(table)?;
@@ -851,8 +863,15 @@ impl Session {
                             // and the token snapshot.
                             let token = dn.rw.session_token();
                             dn.rw.ship();
-                            let _ = ro.wait_for(token, Duration::from_millis(200));
-                            Arc::clone(&ro.engine)
+                            match ro.wait_for(token, Duration::from_millis(200)) {
+                                Ok(()) => Arc::clone(&ro.engine),
+                                // A replica still behind would serve a
+                                // stale snapshot: read the RW engine.
+                                Err(_) => {
+                                    self.inner.ro_fallbacks.inc();
+                                    Arc::clone(&dn.rw.engine)
+                                }
+                            }
                         }
                         None => Arc::clone(&dn.rw.engine),
                     }
@@ -1036,21 +1055,32 @@ impl Session {
 
     // ------------------------------------------------------------------- DML
 
-    /// Run one DML statement, retrying it wholesale while it bounces off
-    /// a re-home cutover (`Throttled`: a frozen shard at route or write
-    /// time, a pinned routing epoch that moved by commit time, or a store
-    /// detached between routing and execution — the DN remaps that
-    /// retryably too). Each retry re-routes from scratch and lands on the
-    /// new home. Bounded: a cutover pauses a shard for milliseconds, so a
+    /// Run one DML statement, retrying it wholesale in a fresh transaction
+    /// while it bounces off a re-home cutover (`Throttled`: a frozen shard
+    /// at route or write time, a pinned routing epoch that moved by commit
+    /// time, or a store detached between routing and execution — the DN
+    /// remaps that retryably too) or loses a first-committer-wins race
+    /// (`WriteConflict`: another transaction wrote a matched row after
+    /// this one's snapshot). Statements are autocommit, so a retry
+    /// re-reads, re-routes and lands on the new home; conflicts never
+    /// reach the client. Bounded: a cutover pauses a shard for
+    /// milliseconds and a conflicting writer commits in microseconds, so a
     /// statement still bouncing at the deadline surfaces the error.
     fn retry_dml<T>(&self, mut f: impl FnMut() -> Result<T>) -> Result<T> {
-        let deadline = polardbx_common::time::mono_now() + Duration::from_secs(10);
+        let now = polardbx_common::time::mono_now;
+        let deadline = now() + Duration::from_secs(10);
         loop {
             match f() {
-                Err(Error::Throttled { .. })
-                    if polardbx_common::time::mono_now() < deadline =>
+                Err(e)
+                    if matches!(
+                        e.root(),
+                        Error::Throttled { .. } | Error::WriteConflict { .. }
+                    ) && now() < deadline =>
                 {
-                    std::thread::sleep(Duration::from_millis(1));
+                    // Jittered so writers that conflicted on one row do
+                    // not retry in lockstep.
+                    let jitter = u64::from(now().subsec_nanos()) % 500;
+                    std::thread::sleep(Duration::from_micros(500 + jitter));
                 }
                 other => return other,
             }
@@ -1128,40 +1158,45 @@ impl Session {
         names.iter().map(|n| self.inner.gms.table(n)).collect()
     }
 
-    /// Find rows matching a predicate, returning (shard, key, full row).
+    /// Rows of `schema`'s table matching `predicate` (resolved against all
+    /// columns), read inside `txn` at its snapshot: point reads or bounded
+    /// scans on the shards the primary-key access names, every shard for
+    /// a full scan. Each shard is routed fenced and its routing epoch
+    /// pinned, so the writes that follow land on the home that was read
+    /// and the engine's first-committer-wins check sees any write that
+    /// committed after this snapshot. Returns (DN, shard table, key, row).
     fn find_matches(
         &self,
+        txn: &mut DistTxn<'_>,
         schema: &TableSchema,
-        predicate: &Option<Expr>,
-    ) -> Result<Vec<(u32, Key, Row)>> {
-        // Fast path: pk-equality predicates route to one shard.
-        let resolved = match predicate {
-            Some(p) => {
-                let names: Vec<String> =
-                    schema.columns.iter().map(|c| c.name.clone()).collect();
-                Some(p.resolve(&names)?)
-            }
-            None => None,
-        };
-        let ts = self.cn.coordinator.clock().now().raw();
+        predicate: Option<&Expr>,
+    ) -> Result<Vec<(NodeId, TableId, Key, Row)>> {
+        let access = KeyAccess::derive(predicate, schema);
+        let shards = access.shards(schema.partition.shard_count());
         let mut out = Vec::new();
-        let mut txn = self.cn.coordinator.begin();
-        for shard in 0..schema.partition.shard_count() {
-            let dn = self.inner.gms.shard_dn(schema.id, shard)?;
-            let rows =
-                txn.scan(dn, shard_table_id(schema.id, shard), None, None)?;
-            let _ = ts;
+        for shard in shards {
+            let (dn, epoch) = self.inner.gms.shard_dn_fenced(schema.id, shard)?;
+            let stid = shard_table_id(schema.id, shard);
+            txn.pin_epoch(stid, epoch)?;
+            let rows = match &access {
+                KeyAccess::Point(_) => {
+                    let mut rows = Vec::new();
+                    for key in access.keys_on(shard) {
+                        if let Some(row) = txn.read(dn, stid, key)? {
+                            rows.push((key.clone(), row));
+                        }
+                    }
+                    rows
+                }
+                KeyAccess::Range { lo, hi, .. } => txn.scan(dn, stid, lo.clone(), hi.clone())?,
+                KeyAccess::Full => txn.scan(dn, stid, None, None)?,
+            };
             for (key, row) in rows {
-                let keep = match &resolved {
-                    Some(p) => p.eval_bool(&row)?,
-                    None => true,
-                };
-                if keep {
-                    out.push((shard, key, row));
+                if predicate.map_or(Ok(true), |p| p.eval_bool(&row))? {
+                    out.push((dn, stid, key, row));
                 }
             }
         }
-        txn.abort();
         Ok(out)
     }
 
@@ -1174,21 +1209,27 @@ impl Session {
             .iter()
             .map(|(c, e)| Ok((schema.column_index(c)?, e.resolve(&names)?)))
             .collect::<Result<_>>()?;
-        let matches = self.find_matches(&schema, &u.predicate)?;
+        // A row is stored under its primary key: changing it would leave
+        // the row under a key it no longer has.
+        if let Some((i, _)) = assignments.iter().find(|(i, _)| schema.primary_key.contains(i)) {
+            return Err(Error::invalid(format!(
+                "UPDATE of primary-key column {} is not supported",
+                schema.columns[*i].name
+            )));
+        }
+        let predicate = u.predicate.as_ref().map(|p| p.resolve(&names)).transpose()?;
         let mut txn = self.cn.coordinator.begin();
+        let matches = self.find_matches(&mut txn, &schema, predicate.as_ref())?;
         let count = matches.len() as u64;
-        for (shard, key, old_row) in matches {
+        for (dn, stid, key, old_row) in matches {
             let mut new_row = old_row.clone();
             for (idx, expr) in &assignments {
                 new_row.set(*idx, expr.eval(&old_row)?)?;
             }
             schema.validate_row(&new_row)?;
-            // Fenced re-route of the matched shard: the write pins the
-            // routing epoch so a racing re-home aborts the commit retryably
-            // instead of losing the update on the detached old home.
-            let (dn, epoch) = self.inner.gms.shard_dn_fenced(schema.id, shard)?;
-            let stid = shard_table_id(schema.id, shard);
-            txn.pin_epoch(stid, epoch)?;
+            // The matched shard's epoch was pinned when it was read: a
+            // racing re-home aborts the commit retryably instead of losing
+            // the update on the detached old home.
             txn.write(dn, stid, key, WireWriteOp::Update(new_row.clone()))?;
             for hidden in &gsis {
                 // Replace the index entry when it changed.
@@ -1221,13 +1262,12 @@ impl Session {
     fn delete(&self, d: &ast::Delete) -> Result<u64> {
         let schema = self.inner.gms.table(&d.table)?;
         let gsis = self.gsi_schemas(&d.table)?;
-        let matches = self.find_matches(&schema, &d.predicate)?;
+        let names: Vec<String> = schema.columns.iter().map(|c| c.name.clone()).collect();
+        let predicate = d.predicate.as_ref().map(|p| p.resolve(&names)).transpose()?;
         let mut txn = self.cn.coordinator.begin();
+        let matches = self.find_matches(&mut txn, &schema, predicate.as_ref())?;
         let count = matches.len() as u64;
-        for (shard, key, old_row) in matches {
-            let (dn, epoch) = self.inner.gms.shard_dn_fenced(schema.id, shard)?;
-            let stid = shard_table_id(schema.id, shard);
-            txn.pin_epoch(stid, epoch)?;
+        for (dn, stid, key, old_row) in matches {
             txn.write(dn, stid, key, WireWriteOp::Delete)?;
             for hidden in &gsis {
                 let old_idx = self.gsi_row(hidden, &schema, &old_row)?;
@@ -1244,14 +1284,14 @@ impl Session {
         Ok(count)
     }
 
-    /// Refresh the column index after DML (simple strategy: incremental
-    /// rebuild only of the touched table when an index exists; the
-    /// maintainer path in `polardbx-columnar` covers log-capture, this
-    /// keeps the cluster-level index fresh without tailing every log).
+    /// Refresh the column index after DML. Eager and whole-table: when
+    /// the touched table has a column index, it is rebuilt from the row
+    /// store before the statement returns (O(table) per statement).
+    /// Incremental maintenance from the write set (the maintainer in
+    /// `polardbx-columnar`) needs an ordered version watermark first.
     fn capture_column_index(&self, table: &str) -> Result<()> {
         let index = self.inner.column_indexes.read().get(table).cloned();
         let Some(_) = index else { return Ok(()) };
-        // Rebuild-on-write is wasteful; drop and lazily rebuild instead.
         self.inner.column_indexes.write().remove(table);
         let this = PolarDbx { inner: Arc::clone(&self.inner) };
         this.enable_column_index(table)

@@ -342,6 +342,10 @@ impl polardbx_sql::plan::SchemaProvider for Gms {
             .map(|c| c.name.clone())
             .collect())
     }
+
+    fn table_schema(&self, table: &str) -> Option<TableSchema> {
+        self.table(table).ok()
+    }
 }
 
 #[cfg(test)]

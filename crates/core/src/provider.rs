@@ -1,11 +1,14 @@
-//! The executor's view of the cluster: partitioned scans over DN shards.
+//! The executor's view of the cluster: partitioned scans, point reads and
+//! bounded key-range scans over DN shards.
 
 use std::collections::HashMap;
+use std::ops::Bound;
 use std::sync::Arc;
 
 use polardbx_columnar::{ColumnIndex, ColumnSnapshot};
-use polardbx_common::{Result, Row};
+use polardbx_common::{Result, Row, TableSchema};
 use polardbx_executor::TableProvider;
+use polardbx_sql::KeyAccess;
 use polardbx_storage::StorageEngine;
 
 use crate::gms::{shard_table_id, Gms};
@@ -43,6 +46,24 @@ impl ClusterProvider {
     pub fn snapshot_ts(&self) -> u64 {
         self.snapshot_ts
     }
+
+    /// The engine holding `shard` of `schema`'s table.
+    fn engine(&self, schema: &TableSchema, shard: u32) -> Result<&Arc<StorageEngine>> {
+        let dn = self.gms.shard_dn(schema.id, shard)?;
+        self.engines
+            .get(&dn)
+            .ok_or_else(|| polardbx_common::Error::execution(format!("no engine for {dn}")))
+    }
+}
+
+/// `row` without the implicit primary key, which SQL output never shows.
+fn visible(schema: &TableSchema, row: Row) -> Row {
+    let visible = schema.visible_arity();
+    if row.arity() > visible {
+        Row::new(row.into_values().into_iter().take(visible).collect())
+    } else {
+        row
+    }
 }
 
 impl TableProvider for ClusterProvider {
@@ -56,25 +77,40 @@ impl TableProvider for ClusterProvider {
     fn scan_partition(&self, table: &str, partition: usize) -> Result<Vec<Row>> {
         let schema = self.gms.table(table)?;
         let shard = partition as u32;
-        let dn = self.gms.shard_dn(schema.id, shard)?;
-        let engine = self
-            .engines
-            .get(&dn)
-            .ok_or_else(|| polardbx_common::Error::execution(format!("no engine for {dn}")))?;
-        let stid = shard_table_id(schema.id, shard);
-        let rows = engine.scan_table(stid, self.snapshot_ts)?;
-        // Hide the implicit primary key from SQL-visible output.
-        let visible = schema.visible_arity();
-        Ok(rows
-            .into_iter()
-            .map(|(_, row)| {
-                if row.arity() > visible {
-                    Row::new(row.into_values().into_iter().take(visible).collect())
-                } else {
-                    row
+        let rows = self.engine(&schema, shard)?.scan_table(
+            shard_table_id(schema.id, shard),
+            self.snapshot_ts,
+        )?;
+        Ok(rows.into_iter().map(|(_, row)| visible(&schema, row)).collect())
+    }
+
+    /// Point reads and bounded scans on the shards the access names (every
+    /// shard when it names none).
+    fn scan_access(&self, table: &str, access: &KeyAccess) -> Result<Vec<Row>> {
+        let schema = self.gms.table(table)?;
+        let shards = access.shards(schema.partition.shard_count());
+        let mut out = Vec::new();
+        for shard in shards {
+            let engine = self.engine(&schema, shard)?;
+            let stid = shard_table_id(schema.id, shard);
+            let (lo, hi) = match access {
+                KeyAccess::Point(_) => {
+                    for key in access.keys_on(shard) {
+                        if let Some(row) = engine.read(stid, key, self.snapshot_ts, None)? {
+                            out.push(visible(&schema, row));
+                        }
+                    }
+                    continue;
                 }
-            })
-            .collect())
+                KeyAccess::Range { lo, hi, .. } => (lo.as_ref(), hi.as_ref()),
+                KeyAccess::Full => (None, None),
+            };
+            let lo = lo.map_or(Bound::Unbounded, Bound::Included);
+            let hi = hi.map_or(Bound::Unbounded, Bound::Excluded);
+            let rows = engine.scan(stid, lo, hi, self.snapshot_ts, None)?;
+            out.extend(rows.into_iter().map(|(_, row)| visible(&schema, row)));
+        }
+        Ok(out)
     }
 
     fn columnar(&self, table: &str) -> Option<ColumnSnapshot> {

@@ -139,9 +139,13 @@ enum SimplePred {
     Prefix { col: usize, prefix: String },
 }
 
+/// `Filter*(Scan)` over a full scan. A scan bounded by a primary-key
+/// access does not match: its keys are read from the row store.
 fn match_pipeline(plan: &LogicalPlan) -> Option<(String, Vec<SimplePred>)> {
     match plan {
-        LogicalPlan::Scan { table, .. } => Some((table.clone(), Vec::new())),
+        LogicalPlan::Scan { table, access, .. } if access.is_full() => {
+            Some((table.clone(), Vec::new()))
+        }
         LogicalPlan::Filter { input, predicate } => {
             let (table, mut preds) = match_pipeline(input)?;
             let mut conjuncts = Vec::new();
@@ -562,6 +566,7 @@ mod tests {
         LogicalPlan::Scan {
             table: "t".into(),
             schema: vec!["t.id".into(), "t.grp".into(), "t.flag".into()],
+            access: polardbx_sql::KeyAccess::Full,
         }
     }
 

@@ -317,6 +317,7 @@ mod tests {
         LogicalPlan::Scan {
             table: "t".into(),
             schema: vec!["t.id".into(), "t.grp".into(), "t.v".into()],
+            access: polardbx_sql::KeyAccess::Full,
         }
     }
 
@@ -389,6 +390,7 @@ mod tests {
             left: Box::new(LogicalPlan::Scan {
                 table: "dim".into(),
                 schema: vec!["dim.g".into(), "dim.name".into()],
+                access: polardbx_sql::KeyAccess::Full,
             }),
             right: Box::new(scan()),
             on: vec![(0, 1)],

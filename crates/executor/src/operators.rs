@@ -10,6 +10,7 @@ use std::collections::HashMap;
 use polardbx_common::{Error, Result, Row, Value};
 use polardbx_sql::expr::{AggFunc, Expr};
 use polardbx_sql::plan::{AggSpec, LogicalPlan};
+use polardbx_sql::KeyAccess;
 
 use crate::columnar_exec;
 use crate::scheduler::TickState;
@@ -33,6 +34,16 @@ pub trait TableProvider: Send + Sync {
             out.extend(self.scan_partition(table, p)?);
         }
         Ok(out)
+    }
+
+    /// The rows a primary-key access can reach (every row for
+    /// [`KeyAccess::Full`]), at the provider's snapshot. May return a
+    /// superset of them: the plan's filter keeps the whole predicate. The
+    /// default ignores the access and scans every partition;
+    /// storage-backed providers read only the bounded keys.
+    fn scan_access(&self, table: &str, access: &KeyAccess) -> Result<Vec<Row>> {
+        let _ = access;
+        self.scan_all(table)
     }
 
     /// A columnar snapshot of the table, when a column index exists.
@@ -82,14 +93,16 @@ pub fn execute_plan(
     provider: &dyn TableProvider,
     ctx: &ExecCtx,
 ) -> Result<Vec<Row>> {
-    // Columnar fast path first (§VI-E): pattern-matched pipelines run on
-    // vectorized kernels when the table has a column index.
+    // Columnar fast path (§VI-E): pattern-matched pipelines run on
+    // vectorized kernels when the table has a column index. A scan with a
+    // primary-key access is not eligible: it reads its keys from the row
+    // store instead of cloning a column snapshot.
     if let Some(result) = columnar_exec::try_columnar(plan, provider, ctx) {
         return result;
     }
     match plan {
-        LogicalPlan::Scan { table, .. } => {
-            let rows = provider.scan_all(table)?;
+        LogicalPlan::Scan { table, access, .. } => {
+            let rows = provider.scan_access(table, access)?;
             ctx.tick(rows.len() as u64)?;
             Ok(rows)
         }

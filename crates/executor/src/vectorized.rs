@@ -1065,6 +1065,7 @@ mod tests {
         LogicalPlan::Scan {
             table: "t".into(),
             schema: vec!["t.id".into(), "t.g".into(), "t.d".into(), "t.s".into()],
+            access: polardbx_sql::KeyAccess::Full,
         }
     }
 
@@ -1168,6 +1169,7 @@ mod tests {
             input: Box::new(LogicalPlan::Scan {
                 table: "m".into(),
                 schema: vec!["m.k".into(), "m.v".into()],
+                access: polardbx_sql::KeyAccess::Full,
             }),
             group_by: vec![Expr::ColumnIdx(0)],
             aggs: vec![AggSpec {

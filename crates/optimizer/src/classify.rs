@@ -55,6 +55,10 @@ mod tests {
         fn table_columns(&self, _table: &str) -> Result<Vec<String>> {
             Ok(vec!["id".into(), "a".into(), "b".into()])
         }
+
+        fn table_schema(&self, table: &str) -> Option<polardbx_common::TableSchema> {
+            crate::cost::id_keyed_fixture(table, &self.table_columns(table).ok()?)
+        }
     }
 
     fn stats() -> Statistics {
@@ -80,6 +84,14 @@ mod tests {
     fn point_read_is_tp() {
         let p = plan("SELECT a FROM sbtest WHERE id = 42");
         assert_eq!(classify(&p, &stats()), WorkloadClass::Tp);
+    }
+
+    #[test]
+    fn short_pk_range_is_tp() {
+        let p = plan("SELECT id, a FROM sbtest WHERE id BETWEEN 100 AND 109");
+        assert_eq!(classify(&p, &stats()), WorkloadClass::Tp);
+        let p = plan("SELECT id, a FROM sbtest WHERE a BETWEEN 100 AND 109");
+        assert_eq!(classify(&p, &stats()), WorkloadClass::Ap, "non-key range scans it all");
     }
 
     #[test]

@@ -90,55 +90,26 @@ fn selectivity(e: &Expr) -> f64 {
     }
 }
 
-/// Does the predicate contain `column = literal` (an indexable point)?
-fn has_eq_on_column(e: &Expr) -> bool {
-    let mut found = false;
-    e.visit(&mut |x| {
-        if let Expr::Binary { op: BinOp::Eq, left, right } = x {
-            if matches!(
-                (left.as_ref(), right.as_ref()),
-                (Expr::ColumnIdx(_), Expr::Literal(_)) | (Expr::Literal(_), Expr::ColumnIdx(_))
-            ) {
-                found = true;
-            }
-        }
-    });
-    found
-}
-
 /// Estimate the cost of `plan` under `stats`.
 pub fn estimate(plan: &LogicalPlan, stats: &Statistics) -> PlanCost {
     match plan {
-        LogicalPlan::Scan { table, schema } => {
+        LogicalPlan::Scan { table, access, .. } => {
             let ts = stats.get(table);
-            let rows = ts.rows as f64;
+            // The rows the primary-key access really reads: the key count,
+            // the range width, or the whole table.
+            let rows = access.rows(ts.rows as f64);
             let bytes = rows * ts.avg_row_bytes as f64;
             PlanCost {
                 rows_out: rows,
                 cpu: rows,
                 io: bytes,
                 // Without pushdown every scanned byte crosses CN↔DN.
-                net: bytes * (schema.len().max(1) as f64 / schema.len().max(1) as f64),
+                net: bytes,
             }
         }
         LogicalPlan::Filter { input, predicate } => {
             let c = estimate(input, stats);
             let sel = selectivity(predicate).clamp(0.0001, 1.0);
-            // A filter directly over a scan models an index/PK access path:
-            // equality predicates cut the scanned volume, not just the
-            // output (the planning half of operator push-down, §VI-B).
-            if matches!(input.as_ref(), LogicalPlan::Scan { .. }) && has_eq_on_column(predicate)
-            {
-                // Index lookups touch a key-sized fraction of the table, far
-                // below the generic 5% equality selectivity.
-                let access = (sel * 0.002).clamp(0.000_001, 1.0);
-                return PlanCost {
-                    rows_out: (c.rows_out * access).max(1.0),
-                    cpu: (c.cpu * access).max(1.0),
-                    io: (c.io * access).max(1.0),
-                    net: (c.net * access).max(1.0),
-                };
-            }
             PlanCost { rows_out: c.rows_out * sel, cpu: c.cpu + c.rows_out, ..c }
         }
         LogicalPlan::Project { input, exprs, .. } => {
@@ -192,6 +163,18 @@ pub fn estimate(plan: &LogicalPlan, stats: &Statistics) -> PlanCost {
     }
 }
 
+/// Test fixture schema: INT columns `cols`, keyed and hash-partitioned
+/// on `id`.
+#[cfg(test)]
+pub(crate) fn id_keyed_fixture(
+    table: &str,
+    cols: &[String],
+) -> Option<polardbx_common::TableSchema> {
+    use polardbx_common::{ColumnDef, DataType, TableId, TableSchema};
+    let defs = cols.iter().map(|c| ColumnDef::new(c, DataType::Int)).collect();
+    TableSchema::hash_on_pk(TableId(1), table, defs, vec!["id".into()], 8).ok()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -206,6 +189,10 @@ mod tests {
                 "small" => Ok(vec!["id".into(), "x".into()]),
                 _ => Err(polardbx_common::Error::UnknownTable { name: table.into() }),
             }
+        }
+
+        fn table_schema(&self, table: &str) -> Option<polardbx_common::TableSchema> {
+            crate::cost::id_keyed_fixture(table, &self.table_columns(table).ok()?)
         }
     }
 
@@ -235,6 +222,16 @@ mod tests {
         assert!(point.rows_out < scan.rows_out);
         // The filter reduces cardinality 20x.
         assert!(point.rows_out <= scan.rows_out * 0.06);
+    }
+
+    #[test]
+    fn key_access_charges_its_real_width() {
+        let point = estimate(&plan("SELECT a FROM big WHERE id = 5"), &stats());
+        assert!(point.cpu < 3.0, "one key read and filtered: {point:?}");
+        let range = estimate(&plan("SELECT a FROM big WHERE id BETWEEN 10 AND 19"), &stats());
+        assert!(range.cpu < 25.0, "ten keys read and filtered: {range:?}");
+        let non_key = estimate(&plan("SELECT a FROM big WHERE a = 5"), &stats());
+        assert!(non_key.cpu >= 1_000_000.0, "a non-key equality reads the whole table");
     }
 
     #[test]

@@ -6,7 +6,6 @@
 //! with join or aggregation prefer in-memory column index, while point
 //! queries choose InnoDB row store."
 
-use polardbx_sql::expr::{BinOp, Expr};
 use polardbx_sql::plan::LogicalPlan;
 
 use crate::cost::Statistics;
@@ -20,53 +19,23 @@ pub enum StorageChoice {
     ColumnIndex,
 }
 
-/// Rows a scan is expected to touch after its adjacent filters.
+/// Rows the scan of `table` is expected to read through its primary-key
+/// access (0 when `plan` does not scan `table`).
 fn scanned_rows(plan: &LogicalPlan, table: &str, stats: &Statistics) -> f64 {
-    fn walk(p: &LogicalPlan, table: &str, under_eq_filter: &mut bool) -> bool {
-        match p {
-            LogicalPlan::Scan { table: t, .. } => t == table,
-            LogicalPlan::Filter { input, predicate } => {
-                if has_pk_point(predicate) {
-                    *under_eq_filter = true;
-                }
-                walk(input, table, under_eq_filter)
-            }
-            LogicalPlan::Project { input, .. }
-            | LogicalPlan::Aggregate { input, .. }
-            | LogicalPlan::Sort { input, .. }
-            | LogicalPlan::Limit { input, .. } => walk(input, table, under_eq_filter),
-            LogicalPlan::Join { left, right, .. } => {
-                walk(left, table, under_eq_filter)
-                    || walk(right, table, under_eq_filter)
-            }
+    match plan {
+        LogicalPlan::Scan { table: t, access, .. } if t == table => {
+            access.rows(stats.get(table).rows as f64)
+        }
+        LogicalPlan::Scan { .. } => 0.0,
+        LogicalPlan::Filter { input, .. }
+        | LogicalPlan::Project { input, .. }
+        | LogicalPlan::Aggregate { input, .. }
+        | LogicalPlan::Sort { input, .. }
+        | LogicalPlan::Limit { input, .. } => scanned_rows(input, table, stats),
+        LogicalPlan::Join { left, right, .. } => {
+            scanned_rows(left, table, stats).max(scanned_rows(right, table, stats))
         }
     }
-    let mut point = false;
-    if !walk(plan, table, &mut point) {
-        return 0.0;
-    }
-    let rows = stats.get(table).rows as f64;
-    if point {
-        1.0
-    } else {
-        rows
-    }
-}
-
-fn has_pk_point(e: &Expr) -> bool {
-    let mut found = false;
-    e.visit(&mut |x| {
-        if let Expr::Binary { op: BinOp::Eq, left, right } = x {
-            let lit_and_col = matches!(
-                (left.as_ref(), right.as_ref()),
-                (Expr::ColumnIdx(_), Expr::Literal(_)) | (Expr::Literal(_), Expr::ColumnIdx(_))
-            );
-            if lit_and_col {
-                found = true;
-            }
-        }
-    });
-    found
 }
 
 fn has_join_or_agg(plan: &LogicalPlan) -> bool {
@@ -112,6 +81,10 @@ mod tests {
     impl polardbx_sql::plan::SchemaProvider for Fixture {
         fn table_columns(&self, _t: &str) -> Result<Vec<String>> {
             Ok(vec!["id".into(), "a".into(), "b".into()])
+        }
+
+        fn table_schema(&self, table: &str) -> Option<polardbx_common::TableSchema> {
+            crate::cost::id_keyed_fixture(table, &self.table_columns(table).ok()?)
         }
     }
 

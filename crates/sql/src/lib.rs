@@ -11,12 +11,14 @@
 //! names against an output schema ([`expr::Expr::resolve`]) and then
 //! evaluate against rows without further name lookups.
 
+pub mod access;
 pub mod ast;
 pub mod expr;
 pub mod parser;
 pub mod plan;
 pub mod token;
 
+pub use access::KeyAccess;
 pub use ast::Statement;
 pub use expr::{AggFunc, Expr};
 pub use parser::parse;

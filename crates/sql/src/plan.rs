@@ -7,8 +7,9 @@
 //! push-down) and the executor (vectorized operators, MPP fragments)
 //! consume.
 
-use polardbx_common::{Error, Result};
+use polardbx_common::{Error, Result, TableSchema};
 
+use crate::access::KeyAccess;
 use crate::ast::{Select, SelectItem};
 use crate::expr::{AggFunc, BinOp, Expr};
 
@@ -16,6 +17,14 @@ use crate::expr::{AggFunc, BinOp, Expr};
 pub trait SchemaProvider {
     /// Bare column names of `table`, in order.
     fn table_columns(&self, table: &str) -> Result<Vec<String>>;
+
+    /// The full schema of `table` (primary key, partitioning, column
+    /// types), used to derive each scan's [`KeyAccess`]. Providers that
+    /// return `None` get full scans.
+    fn table_schema(&self, table: &str) -> Option<TableSchema> {
+        let _ = table;
+        None
+    }
 }
 
 /// One aggregate computed by an [`LogicalPlan::Aggregate`] node.
@@ -33,12 +42,17 @@ pub struct AggSpec {
 /// (positional) against the node's input schema.
 #[derive(Debug, Clone, PartialEq)]
 pub enum LogicalPlan {
-    /// Full scan of a table; output columns are `alias.column`.
+    /// Scan of a table; output columns are `alias.column`.
     Scan {
         /// Catalog table name.
         table: String,
         /// Output schema (qualified names).
         schema: Vec<String>,
+        /// The primary-key range the WHERE clause bounds this scan to. It
+        /// may return a superset of the matching rows: the filter above
+        /// keeps the whole predicate, so an engine that ignores it (reads
+        /// every row) still returns the right answer.
+        access: KeyAccess,
     },
     /// Row filter.
     Filter {
@@ -136,6 +150,9 @@ impl LogicalPlan {
         fn rec(p: &LogicalPlan, indent: usize, out: &mut String) {
             let pad = "  ".repeat(indent);
             match p {
+                LogicalPlan::Scan { table, access, .. } if !access.is_full() => {
+                    out.push_str(&format!("{pad}Scan {table} [{}]\n", access.describe()))
+                }
                 LogicalPlan::Scan { table, .. } => {
                     out.push_str(&format!("{pad}Scan {table}\n"))
                 }
@@ -222,9 +239,12 @@ pub fn build_plan(select: &Select, provider: &dyn SchemaProvider) -> Result<Logi
         };
     }
 
-    // 2. WHERE.
+    // 2. WHERE, also bounding each scan's primary-key access.
     if let Some(pred) = &select.predicate {
         let resolved = pred.resolve(&plan.schema())?;
+        let mut conjuncts = Vec::new();
+        split_conjuncts(&resolved, &mut conjuncts);
+        set_key_access(&mut plan, 0, &conjuncts, provider);
         plan = LogicalPlan::Filter { input: Box::new(plan), predicate: resolved };
     }
 
@@ -394,7 +414,52 @@ fn scan(provider: &dyn SchemaProvider, t: &crate::ast::TableRef) -> Result<Logic
     Ok(LogicalPlan::Scan {
         table: t.name.clone(),
         schema: cols.iter().map(|c| format!("{alias}.{c}")).collect(),
+        access: KeyAccess::Full,
     })
+}
+
+/// Derive the key access of every scan in a FROM/JOIN tree whose columns
+/// start at `offset` of the WHERE clause's schema, from the WHERE
+/// conjuncts that reference that scan's columns only.
+fn set_key_access(
+    plan: &mut LogicalPlan,
+    offset: usize,
+    conjuncts: &[Expr],
+    provider: &dyn SchemaProvider,
+) {
+    match plan {
+        LogicalPlan::Scan { table, schema, access } => {
+            let Some(table_schema) = provider.table_schema(table) else { return };
+            let width = schema.len();
+            let own = |c: &Expr| {
+                let mut inside = true;
+                c.visit(&mut |x| {
+                    if let Expr::ColumnIdx(i) = x {
+                        inside &= (offset..offset + width).contains(i);
+                    }
+                });
+                inside
+            };
+            let local: Vec<Expr> = conjuncts
+                .iter()
+                .filter(|c| own(c))
+                .map(|c| {
+                    c.transform(&|x| match x {
+                        Expr::ColumnIdx(i) => Ok(Expr::ColumnIdx(i - offset)),
+                        other => Ok(other.clone()),
+                    })
+                    .expect("infallible shift")
+                })
+                .collect();
+            *access = KeyAccess::derive(conjoin(local).as_ref(), &table_schema);
+        }
+        LogicalPlan::Join { left, right, .. } => {
+            let left_width = left.schema().len();
+            set_key_access(left, offset, conjuncts, provider);
+            set_key_access(right, offset + left_width, conjuncts, provider);
+        }
+        _ => {}
+    }
 }
 
 /// Equi-join column pairs plus the residual (non-equi) condition.

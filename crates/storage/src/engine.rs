@@ -12,7 +12,7 @@
 use parking_lot::{Mutex, RwLock};
 use std::collections::{HashMap, HashSet};
 use std::ops::Bound;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -202,6 +202,8 @@ pub struct StorageEngine {
     /// on this set, so once `freeze_writes` returns no intent can land
     /// unseen between the cutover's write-set drain and the store detach.
     write_frozen: RwLock<HashSet<TableId>>,
+    /// Rows returned by point reads and scans, for access-path checks.
+    rows_read: AtomicU64,
 }
 
 impl StorageEngine {
@@ -234,6 +236,7 @@ impl StorageEngine {
             epoch_on: AtomicBool::new(false),
             unstable_ctx: ShardedMap::new(),
             write_frozen: RwLock::new(HashSet::new()),
+            rows_read: AtomicU64::new(0),
         })
     }
 
@@ -473,6 +476,7 @@ impl StorageEngine {
                 replica: tap.replica,
             });
         }
+        self.rows_read.fetch_add(row.is_some() as u64, Ordering::Relaxed);
         Ok(row)
     }
 
@@ -509,7 +513,14 @@ impl StorageEngine {
                 });
             }
         }
+        self.rows_read.fetch_add(rows.len() as u64, Ordering::Relaxed);
         Ok(rows.into_iter().map(|(k, r, _)| (k, r)).collect())
+    }
+
+    /// Rows this engine has returned from point reads and scans since it
+    /// was built. Tests bound a statement's storage reads with it.
+    pub fn rows_read(&self) -> u64 {
+        self.rows_read.load(Ordering::Relaxed)
     }
 
     /// Full-table snapshot scan.

@@ -96,6 +96,13 @@ impl RoNode {
         Ok(())
     }
 
+    /// Cut the replica off the redo stream, like a crashed or partitioned
+    /// RO that has not been evicted yet: it stops applying and falls
+    /// behind for good.
+    pub fn disconnect(&self) {
+        self.alive.store(false, Ordering::Relaxed);
+    }
+
     /// Is the node in the cluster?
     pub fn is_alive(&self) -> bool {
         self.alive.load(Ordering::Relaxed)

@@ -1,7 +1,7 @@
 //! Tier-1 tests for the SQL front door: the full statement surface over
 //! the wire, typed error classification across the boundary, per-tenant
 //! admission, quota release on abrupt disconnect, and the lost-update
-//! rehome test lifted from the in-process SQL path to real TCP clients.
+//! tests lifted from the in-process SQL path to real TCP clients.
 
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -18,6 +18,15 @@ use rand::{Rng, SeedableRng};
 fn cluster() -> PolarDbx {
     PolarDbx::build(ClusterConfig { dns: 2, default_shards: 4, ..Default::default() })
         .unwrap()
+}
+
+/// Wire connections land on different CNs. HLC-SI orders a statement
+/// after the commits its own CN has seen; a commit acknowledged through
+/// another CN becomes visible once this CN's clock passes its timestamp,
+/// within a millisecond. Tests that hand rows between connections wait
+/// that out.
+fn settle_clocks() {
+    std::thread::sleep(Duration::from_millis(5));
 }
 
 /// Cluster + front door + one unlimited tenant, ready for clients.
@@ -225,12 +234,13 @@ fn concurrent_wire_clients_survive_rehome_without_lost_updates() {
     for i in 0..8 {
         admin.execute(&format!("INSERT INTO t (id, v) VALUES ({i}, 0)")).unwrap();
     }
+    settle_clocks();
 
-    // One wire client per row: each client is the sole writer of its row,
-    // so its acked count must equal the row's final value exactly (the
-    // same single-writer-per-key contract as the in-process template
-    // test, scaled out to concurrent TCP connections).
+    // Two wire clients per row: the row's final value must equal the sum
+    // of both clients' acked counts exactly, so neither a cutover nor a
+    // write-write race may lose an acknowledged increment.
     const CLIENTS: usize = 4;
+    const ROWS: usize = 2;
     let stop = Arc::new(AtomicBool::new(false));
     let addr = front.addr();
     let workers: Vec<_> = (0..CLIENTS)
@@ -242,7 +252,7 @@ fn concurrent_wire_clients_survive_rehome_without_lost_updates() {
                     Ok(c) => c,
                     Err(e) => return (0, Some(e)),
                 };
-                let sql = format!("UPDATE t SET v = v + 1 WHERE id = {w}");
+                let sql = format!("UPDATE t SET v = v + 1 WHERE id = {}", w % ROWS);
                 let mut applied = 0u64;
                 while !stop.load(Ordering::Relaxed) {
                     match c.execute(&sql) {
@@ -285,20 +295,74 @@ fn concurrent_wire_clients_survive_rehome_without_lost_updates() {
     }
     stop.store(true, Ordering::Relaxed);
 
-    let mut total = 0u64;
+    let mut applied_per_row = [0u64; ROWS];
     for (w, handle) in workers.into_iter().enumerate() {
         let (applied, fatal) = handle.join().unwrap();
         assert!(fatal.is_none(), "wire writer {w} hit non-retryable error: {fatal:?}");
-        total += applied;
-        let rows = admin.query(&format!("SELECT v FROM t WHERE id = {w}")).unwrap();
+        applied_per_row[w % ROWS] += applied;
+    }
+    settle_clocks();
+    for (row, applied) in applied_per_row.iter().enumerate() {
+        let rows = admin.query(&format!("SELECT v FROM t WHERE id = {row}")).unwrap();
         assert_eq!(rows.len(), 1);
         assert_eq!(
             rows[0].get(0).unwrap(),
-            &Value::Int(applied as i64),
-            "client {w}: every acked wire UPDATE must survive the re-homes"
+            &Value::Int(*applied as i64),
+            "row {row}: every acked wire UPDATE must survive the re-homes and the races"
         );
     }
-    assert!(total > 0, "writers made progress across cutovers");
+    assert!(applied_per_row.iter().sum::<u64>() > 0, "writers made progress across cutovers");
+
+    admin.quit().unwrap();
+    drop(front);
+    db.shutdown();
+}
+
+/// Concurrent TCP clients incrementing one row: write-write races are
+/// retried inside the statement, so every client sees only successes and
+/// the row's final value equals the number of acknowledged UPDATEs.
+#[test]
+fn concurrent_wire_increments_of_one_row_lose_no_update() {
+    let (db, front, tenant) = front_cluster();
+    let mut admin = FrontClient::connect(front.addr(), tenant).unwrap();
+    admin.execute("CREATE TABLE c (id BIGINT NOT NULL, v INT, PRIMARY KEY (id))").unwrap();
+    admin.execute("INSERT INTO c (id, v) VALUES (1, 0)").unwrap();
+    settle_clocks();
+
+    let stop = Arc::new(AtomicBool::new(false));
+    let addr = front.addr();
+    let workers: Vec<_> = (0..4)
+        .map(|_| {
+            let stop = Arc::clone(&stop);
+            std::thread::spawn(move || -> (u64, Option<Error>) {
+                let mut c = match FrontClient::connect(addr, tenant) {
+                    Ok(c) => c,
+                    Err(e) => return (0, Some(e)),
+                };
+                let mut acked = 0u64;
+                while !stop.load(Ordering::Relaxed) {
+                    match c.execute("UPDATE c SET v = v + 1 WHERE id = 1") {
+                        Ok(1) => acked += 1,
+                        Ok(n) => return (acked, Some(Error::invalid(format!("matched {n}")))),
+                        Err(e) => return (acked, Some(e)),
+                    }
+                }
+                (acked, None)
+            })
+        })
+        .collect();
+    std::thread::sleep(Duration::from_secs(1));
+    stop.store(true, Ordering::Relaxed);
+    let mut acked = 0;
+    for (w, handle) in workers.into_iter().enumerate() {
+        let (n, err) = handle.join().unwrap();
+        assert!(err.is_none(), "wire client {w} saw an error: {err:?}");
+        acked += n;
+    }
+    assert!(acked > 0, "clients made progress");
+    settle_clocks();
+    let rows = admin.query("SELECT v FROM c WHERE id = 1").unwrap();
+    assert_eq!(rows[0].get(0).unwrap(), &Value::Int(acked as i64), "no lost update");
 
     admin.quit().unwrap();
     drop(front);

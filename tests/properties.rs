@@ -589,6 +589,7 @@ fn diff_rand_plan(rng: &mut StdRng, width: usize) -> polardbx_sql::plan::Logical
     let scan = || LogicalPlan::Scan {
         table: "t".into(),
         schema: (0..width).map(|i| format!("t.c{i}")).collect(),
+        access: polardbx_sql::KeyAccess::Full,
     };
     let filtered = |rng: &mut StdRng| LogicalPlan::Filter {
         input: Box::new(scan()),
