@@ -528,7 +528,7 @@ fn fallback_aggregate(
 mod tests {
     use super::*;
     use polardbx_columnar::ColumnIndex;
-    use polardbx_common::{DataType, Key, TrxId};
+    use polardbx_common::{DataType, Key};
     use std::sync::Arc;
 
     struct ColProvider {
@@ -541,24 +541,24 @@ mod tests {
             Ok(self.rows.clone())
         }
         fn columnar(&self, table: &str) -> Option<ColumnSnapshot> {
-            (table == "t").then(|| self.index.snapshot(u64::MAX))
+            (table == "t").then(|| self.index.snapshot(u64::MAX)).flatten()
         }
     }
 
     fn provider() -> ColProvider {
         let index = ColumnIndex::new(vec![DataType::Int, DataType::Int, DataType::Str]);
-        let mut rows = Vec::new();
-        for i in 0..100i64 {
-            let row = Row::new(vec![
-                Value::Int(i),
-                Value::Int(i % 4),
-                Value::str(if i % 2 == 0 { "PROMO X" } else { "PLAIN Y" }),
-            ]);
-            index
-                .apply_put(TrxId(1), 1, Key::encode(&[Value::Int(i)]), &row)
-                .unwrap();
-            rows.push(row);
-        }
+        let rows: Vec<Row> = (0..100i64)
+            .map(|i| {
+                Row::new(vec![
+                    Value::Int(i),
+                    Value::Int(i % 4),
+                    Value::str(if i % 2 == 0 { "PROMO X" } else { "PLAIN Y" }),
+                ])
+            })
+            .collect();
+        index
+            .load(1, rows.iter().map(|r| (Key::encode(&[r.get(0).unwrap().clone()]), r.clone())))
+            .unwrap();
         ColProvider { index, rows }
     }
 

@@ -192,7 +192,7 @@ impl DnService {
     /// propagation, so when the snapshot is ahead of the local physical
     /// clock the participant must *delay* the statement until its clock
     /// catches up (bounded by the configured worst-case skew).
-    fn sync_snapshot(&self, snapshot_ts: u64) {
+    pub fn sync_snapshot(&self, snapshot_ts: u64) {
         if self.clock.causality_wait_millis() > 0 {
             let deadline =
                 mono_now() + Duration::from_millis(self.clock.causality_wait_millis() + 1);

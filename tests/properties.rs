@@ -201,7 +201,7 @@ fn mvcc_visibility_matches_oracle() {
 /// sequence at every commit timestamp.
 #[test]
 fn columnar_matches_row_oracle() {
-    use polardbx_columnar::ColumnIndex;
+    use polardbx_columnar::{ColumnIndex, IndexOp};
     use polardbx_common::DataType;
     use std::collections::BTreeMap;
 
@@ -211,6 +211,7 @@ fn columnar_matches_row_oracle() {
             .map(|_| (rng.gen_range(0i64..5), rng.gen_bool(0.5)))
             .collect();
         let index = ColumnIndex::new(vec![DataType::Int, DataType::Int]);
+        index.load(0, Vec::new()).unwrap();
         let mut oracle: BTreeMap<i64, i64> = BTreeMap::new();
         let mut ts = 0u64;
         let mut checkpoints: Vec<(u64, BTreeMap<i64, i64>)> = Vec::new();
@@ -219,16 +220,16 @@ fn columnar_matches_row_oracle() {
             let key = Key::encode(&[Value::Int(*k)]);
             if *is_put {
                 let row = Row::new(vec![Value::Int(*k), Value::Int(i as i64)]);
-                index.apply_put(TrxId(i as u64), ts, key, &row).unwrap();
+                index.apply_commit(ts, &[IndexOp::Put(key, row)]).unwrap();
                 oracle.insert(*k, i as i64);
             } else {
-                index.apply_delete(TrxId(i as u64), ts, &key);
+                index.apply_commit(ts, &[IndexOp::Delete(key)]).unwrap();
                 oracle.remove(k);
             }
             checkpoints.push((ts, oracle.clone()));
         }
         for (ts, expected) in checkpoints {
-            let snap = index.snapshot(ts);
+            let snap = index.snapshot(ts).unwrap();
             let mut got: BTreeMap<i64, i64> = BTreeMap::new();
             for pos in 0..snap.len() {
                 let row = snap.row(pos);
